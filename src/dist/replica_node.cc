@@ -25,6 +25,14 @@ std::vector<uint8_t> ReplicaNode::Handle(const uint8_t* data, size_t size) {
   return replica_.Handle(data, size);
 }
 
+bool ReplicaNode::ValidUpdates(const std::vector<WeightUpdate>& updates) {
+  const uint32_t num_edges = engine_.CurrentSnapshot()->graph.NumEdges();
+  for (const WeightUpdate& u : updates) {
+    if (!IsValidUpdate(u.edge, u.new_weight, num_edges)) return false;
+  }
+  return true;
+}
+
 std::vector<uint8_t> ReplicaNode::HandleInstall(const uint8_t* data,
                                                 size_t size) {
   InstallAck ack;
@@ -32,7 +40,10 @@ std::vector<uint8_t> ReplicaNode::HandleInstall(const uint8_t* data,
   std::lock_guard<std::mutex> lock(install_mu_);
   ack.next_seq = next_seq_;
   ack.engine_epoch = engine_.CurrentSnapshot()->epoch;
-  if (!InstallRequest::Decode(data, size, &req).ok() || diverged_) {
+  if (!InstallRequest::Decode(data, size, &req).ok() || diverged_ ||
+      !ValidUpdates(req.updates)) {
+    // Malformed bytes or an out-of-range update: nack without touching
+    // the replication state (the engine would abort on it).
     install_nacks_.fetch_add(1, std::memory_order_relaxed);
     return ack.Encode();
   }

@@ -55,13 +55,17 @@ class ReplicaNode {
     return installs_applied_.load(std::memory_order_relaxed);
   }
 
-  /// Installs nacked (gap, divergence or malformed). Relaxed.
+  /// Installs nacked (gap, divergence, malformed bytes or an
+  /// out-of-range update). Relaxed.
   uint64_t install_nacks() const {
     return install_nacks_.load(std::memory_order_relaxed);
   }
 
  private:
   std::vector<uint8_t> HandleInstall(const uint8_t* data, size_t size);
+  // True iff every update names an existing edge and a weight the
+  // engine accepts (IsValidUpdate).
+  bool ValidUpdates(const std::vector<WeightUpdate>& updates);
 
   ShardedEngine engine_;
   ShardReplica replica_;

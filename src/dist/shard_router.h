@@ -226,7 +226,6 @@ class ShardRouter {
   // policy contract in engine/serving_core.h).
   struct Policy {
     using Snapshot = ShardedSnapshot;
-    using Result = ShardedQueryResult;
     // Batched misses sort by (source cell, target cell, target) so
     // fetched rows and inner vectors are deduplicated across each
     // group — the same grouping (and the same arithmetic) as

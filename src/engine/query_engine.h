@@ -91,26 +91,8 @@ struct EngineSnapshot {
   const TreeHierarchy* StlHierarchy() const { return view->StlHierarchy(); }
 };
 
-/// Answer to one submitted query.
-struct QueryResult {
-  /// Exact distance for the serving snapshot's weights. Meaningful only
-  /// when code == StatusCode::kOk (kInfDistance otherwise).
-  Weight distance = kInfDistance;
-  /// Epoch of the serving snapshot.
-  uint64_t epoch = 0;
-  /// Submit-to-completion latency (queue wait included).
-  double latency_micros = 0;
-  /// The snapshot the query was served from; lets callers audit the
-  /// answer against the exact weights of that epoch.
-  std::shared_ptr<const EngineSnapshot> snapshot;
-  /// kOk for an answered query; kOverloaded when admission control (or
-  /// the shutdown drain) shed it; kDeadlineExceeded when its deadline
-  /// passed before a reader dequeued it.
-  StatusCode code = StatusCode::kOk;
-
-  /// Typed status view of `code` (ServingStatus(code)).
-  Status status() const { return ServingStatus(code); }
-};
+/// Answer to one query submitted to the flat engine.
+using QueryResult = ServedResult<EngineSnapshot>;
 
 /// Construction options for the flat (single-index) serving engine.
 struct EngineOptions {
@@ -250,7 +232,6 @@ class QueryEngine {
   // the policy contract in engine/serving_core.h).
   struct Policy {
     using Snapshot = EngineSnapshot;
-    using Result = QueryResult;
     // One IndexView answers any (s, t); there is no per-group state to
     // reuse, so batch misses are routed unsorted.
     static constexpr bool kGroupsBatches = false;

@@ -1,21 +1,31 @@
 // The unified serving surface: one ServingCore owns the reader thread
 // pool, the single-writer update-queue protocol, the snapshot
 // publication slot, the result cache and every serving-side counter —
-// QueryEngine (flat) and ShardedEngine (partitioned) are thin Apply +
-// Route policies on top of it, so the Submit/Stats/lifecycle plumbing
-// exists exactly once.
+// QueryEngine (flat), ShardedEngine (partitioned) and ShardRouter
+// (replicated) are thin Apply + Route policies on top of it, so the
+// Submit/Stats/lifecycle plumbing exists exactly once.
 //
 //   callers                       ServingCore<Policy>
 //   ───────────────────────────   ──────────────────────────────────────
-//   Submit()        -> future     compat adapter: one promise per query
+//   Submit()        -> future     SubmitOne(query, deadline, finish):
+//   SubmitTagged()  -> sink       admission, one-shot claim, deadline,
+//                                 then cache + routing (RouteOne). The
+//                                 two entry points differ only in the
+//                                 finisher: fill a promise, or deliver
+//                                 a Completion with the caller's tag
 //   SubmitBatch()   -> ticket     pins ONE snapshot for the whole batch,
-//                                 consults the epoch-keyed result cache,
+//   SubmitBatchTagged()           consults the epoch-keyed result cache,
 //                                 groups the misses by Policy::
 //                                 BatchSortKey and routes them in chunks
-//                                 on the reader pool (Policy::RouteSpan)
-//   SubmitTagged()  -> sink       completion-queue mode: no promise, no
-//   SubmitBatchTagged()           future — the answer is pushed to a
-//                                 CompletionSink with the caller's tag
+//                                 on the reader pool (RouteChunk); the
+//                                 tagged form also delivers every tag
+//
+// Sync and async policies differ in exactly two helpers: RouteOne
+// (cache + Policy::Route answering inline, or cache + Policy::
+// RouteAsync answering from a continuation) and RouteChunk
+// (Policy::RouteSpan vs Policy::RouteSpanAsync). Everything around
+// them — admission, claims, deadlines, outcome counting
+// (CountOutcome) and completion delivery (Deliver) — is one code path.
 //
 // Consistency contract (inherited by both engines): every query is
 // answered exactly for the weights of the single epoch snapshot it was
@@ -300,6 +310,31 @@ struct EngineStats {
   double latency_p50_micros = 0;     ///< Median request latency.
   double latency_p99_micros = 0;     ///< 99th-percentile latency.
   double latency_max_micros = 0;     ///< Largest observed latency.
+};
+
+/// Answer to one query submitted through a promise-backed Submit().
+/// Every engine's per-query result type is this template over its
+/// published epoch type (QueryResult, ShardedQueryResult).
+template <typename Snapshot>
+struct ServedResult {
+  /// Exact distance for the serving snapshot's weights. Meaningful only
+  /// when code == StatusCode::kOk (kInfDistance otherwise).
+  Weight distance = kInfDistance;
+  /// Epoch of the serving snapshot.
+  uint64_t epoch = 0;
+  /// Submit-to-completion latency (queue wait included).
+  double latency_micros = 0;
+  /// The snapshot the query was served from; lets callers audit the
+  /// answer against the exact weights of that epoch.
+  std::shared_ptr<const Snapshot> snapshot;
+  /// kOk for an answered query; kOverloaded when admission control (or
+  /// the shutdown drain) shed it; kDeadlineExceeded when its deadline
+  /// passed before a reader dequeued it; kUnavailable when the routing
+  /// policy failed it (routed-mode replica exhaustion).
+  StatusCode code = StatusCode::kOk;
+
+  /// Typed status view of `code` (ServingStatus(code)).
+  Status status() const { return ServingStatus(code); }
 };
 
 /// One finished query in completion-queue delivery mode. Carries the
@@ -629,9 +664,9 @@ struct PolicyRoutesAsync<Policy, std::void_t<decltype(Policy::kAsyncRoute)>>
 /// side) and how a query is routed on a snapshot (Route side).
 ///
 /// Policy requirements:
-///   using Snapshot / Result   — the published epoch type (must expose
-///       a uint64_t `epoch`) and the per-query result type (must expose
-///       distance / epoch / latency_micros / snapshot / code fields).
+///   using Snapshot            — the published epoch type (must expose
+///       a uint64_t `epoch`). Submit() answers with
+///       ServedResult<Snapshot>.
 ///   void PublishInitial()     — build + Publish() the epoch-0 snapshot.
 ///   Weight ResolveOldWeight(EdgeId) — master weight authority for
 ///       coalescing.
@@ -673,9 +708,10 @@ struct PolicyRoutesAsync<Policy, std::void_t<decltype(Policy::kAsyncRoute)>>
 ///       async RouteSpan: fill out[idx[j]] / codes[idx[j]] for j <
 ///       count, then invoke `done` exactly once. The arrays stay valid
 ///       until `done` runs (the core keeps the ticket alive).
-/// The core tracks every issued continuation; its destructor waits for
-/// all of them after the pool drains, so `done` may always touch the
-/// arrays it was handed.
+/// Only RouteOne and RouteChunk tell the two kinds apart. The core
+/// counts every issued continuation; its destructor waits for all of
+/// them after the pool drains (a sync policy issues none), so `done`
+/// may always touch the arrays it was handed.
 ///
 /// Thread-safety: Submit*/EnqueueUpdate*/Flush/Stats may be called from
 /// any thread. Destruction drains: every submitted query is answered
@@ -685,8 +721,8 @@ class ServingCore {
  public:
   /// The policy's published epoch type.
   using Snapshot = typename Policy::Snapshot;
-  /// The policy's per-query result type.
-  using Result = typename Policy::Result;
+  /// The per-query result type Submit() resolves with.
+  using Result = ServedResult<Snapshot>;
   /// The batch handle type returned by SubmitBatch.
   using Ticket = BatchTicket<Snapshot>;
 
@@ -731,15 +767,13 @@ class ServingCore {
     updates_.Stop();
     if (writer_.joinable()) writer_.join();  // drains pending updates
     pool_.Shutdown();  // answer every query already submitted
-    if constexpr (PolicyRoutesAsync<Policy>::value) {
-      // Async policies may still owe continuations for queries the
-      // drained pool tasks issued; every one touches ticket/result
-      // state this core hands out, so wait them all out before any
-      // member dies. The policy's transport must outlive this core
-      // (it does: the owning engine declares the core last).
-      std::unique_lock<std::mutex> lock(async_mu_);
-      async_cv_.wait(lock, [this] { return async_inflight_ == 0; });
-    }
+    // An async policy may still owe continuations for queries the
+    // drained pool tasks issued; every one touches ticket/result state
+    // this core hands out, so wait them all out before any member dies
+    // (a sync policy issues none). The policy's transport must outlive
+    // this core (it does: the owning engine declares the core last).
+    std::unique_lock<std::mutex> lock(async_mu_);
+    async_cv_.wait(lock, [this] { return async_inflight_ == 0; });
   }
 
   ServingCore(const ServingCore&) = delete;             ///< Not copyable.
@@ -766,101 +800,20 @@ class ServingCore {
   /// thread has answered it — or, under overload, when admission
   /// control sheds it (Result::code == kOverloaded) or `deadline`
   /// passes before a reader dequeues it (kDeadlineExceeded, without
-  /// consuming routing time). Compatibility adapter over the completion
-  /// machinery: allocates one promise per query — high-qps callers
-  /// should prefer SubmitBatch or the tagged sink paths.
+  /// consuming routing time). A promise-backed finisher over the same
+  /// pipeline as SubmitTagged: it allocates one promise per query, so
+  /// high-qps callers should prefer SubmitBatch or the tagged sink
+  /// paths.
   std::future<Result> Submit(QueryPair query,
                              Deadline deadline = kNoDeadline) {
     auto promise = std::make_shared<std::promise<Result>>();
     std::future<Result> result = promise->get_future();
-    const auto submitted = std::chrono::steady_clock::now();
-    // Completes the future without an answer (admission shed, expired
-    // deadline, or shutdown drain) — exactly once, via the unit claim.
-    auto finish_failed = [this, promise, submitted](StatusCode code) {
-      Result r;
-      r.distance = kInfDistance;
-      r.code = code;
-      std::shared_ptr<const Snapshot> snap = current_.load();
-      r.epoch = snap != nullptr ? snap->epoch : 0;
-      r.latency_micros = static_cast<double>(NanosSince(submitted)) / 1e3;
-      r.snapshot = std::move(snap);
-      promise->set_value(std::move(r));
-    };
-    std::shared_ptr<QueryAdmission> unit;
-    if (track_queries_) {
-      unit = std::make_shared<QueryAdmission>();
-      unit->fail = finish_failed;
-      if (!AdmitQuery(unit)) {
-        counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
-        finish_failed(StatusCode::kOverloaded);
-        return result;
-      }
-    }
-    const bool accepted = pool_.Enqueue(
-        [this, query, promise, submitted, deadline,
-         finish_failed = std::move(finish_failed),
-         unit = std::move(unit)] {
-          if (unit != nullptr) {
-            if (unit->claimed.exchange(true)) return;  // shed or drained
-            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (deadline != kNoDeadline &&
-              std::chrono::steady_clock::now() >= deadline) {
-            counters_.queries_deadline_exceeded.fetch_add(
-                1, std::memory_order_relaxed);
-            finish_failed(StatusCode::kDeadlineExceeded);
-            return;
-          }
-          MaybeReaderDelay();
-          // The entire read path: one atomic load, then const reads on
-          // an immutable snapshot. Never blocks on maintenance work.
-          std::shared_ptr<const Snapshot> snap = current_.load();
-          if constexpr (PolicyRoutesAsync<Policy>::value) {
-            // Issue-and-return: the continuation finishes the promise
-            // whenever the policy answers; this reader is free now.
-            RouteWithCacheAsync(
-                snap, query.first, query.second,
-                [this, promise, submitted, snap](Weight d,
-                                                 StatusCode code) {
-                  Result r;
-                  r.distance = d;
-                  r.code = code;
-                  r.epoch = snap->epoch;
-                  const uint64_t nanos = NanosSince(submitted);
-                  r.latency_micros = static_cast<double>(nanos) / 1e3;
-                  r.snapshot = snap;
-                  if (code == StatusCode::kOk) {
-                    counters_.latency.Record(nanos);
-                    counters_.queries_served.fetch_add(
-                        1, std::memory_order_relaxed);
-                  } else {
-                    counters_.queries_unavailable.fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
-                  promise->set_value(std::move(r));
-                });
-          } else {
-            Result r;
-            StatusCode code = StatusCode::kOk;
-            r.distance =
-                RouteWithCache(*snap, query.first, query.second, &code);
-            r.code = code;
-            r.epoch = snap->epoch;
-            const uint64_t nanos = NanosSince(submitted);
-            r.latency_micros = static_cast<double>(nanos) / 1e3;
-            r.snapshot = std::move(snap);
-            if (code == StatusCode::kOk) {
-              counters_.latency.Record(nanos);
-              counters_.queries_served.fetch_add(
-                  1, std::memory_order_relaxed);
-            } else {
-              counters_.queries_unavailable.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            promise->set_value(std::move(r));
-          }
-        });
-    STL_CHECK(accepted) << "Submit() on a shut-down engine";
+    SubmitOne(query, deadline,
+              [promise](Weight d, StatusCode code, const SnapshotPtr& snap,
+                        uint64_t nanos) {
+                promise->set_value(
+                    Result{d, snap->epoch, Micros(nanos), snap, code});
+              });
     return result;
   }
 
@@ -881,94 +834,17 @@ class ServingCore {
   /// Completion-queue mode, single query: no promise, no future — the
   /// completion is delivered to `sink` exactly once with the caller's
   /// tag, whether the query was answered (code kOk), shed by admission
-  /// control or the shutdown drain (kOverloaded), or expired at dequeue
-  /// (kDeadlineExceeded).
+  /// control or the shutdown drain (kOverloaded), expired at dequeue
+  /// (kDeadlineExceeded) or failed by the routing policy
+  /// (kUnavailable).
   void SubmitTagged(QueryPair query, uint64_t tag, CompletionSink* sink,
                     Deadline deadline = kNoDeadline) {
     STL_CHECK(sink != nullptr);
-    const auto submitted = std::chrono::steady_clock::now();
-    // Delivers the tag without an answer — exactly once, via the claim.
-    auto finish_failed = [this, tag, sink, submitted](StatusCode code) {
-      Completion done;
-      done.tag = tag;
-      done.code = code;
-      std::shared_ptr<const Snapshot> snap = current_.load();
-      done.epoch = snap != nullptr ? snap->epoch : 0;
-      done.latency_micros = static_cast<double>(NanosSince(submitted)) / 1e3;
-      DeliverCompletion(sink, done);
-    };
-    std::shared_ptr<QueryAdmission> unit;
-    if (track_queries_) {
-      unit = std::make_shared<QueryAdmission>();
-      unit->fail = finish_failed;
-      if (!AdmitQuery(unit)) {
-        counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
-        finish_failed(StatusCode::kOverloaded);
-        return;
-      }
-    }
-    const bool accepted = pool_.Enqueue(
-        [this, query, tag, sink, submitted, deadline,
-         finish_failed = std::move(finish_failed),
-         unit = std::move(unit)] {
-          if (unit != nullptr) {
-            if (unit->claimed.exchange(true)) return;  // shed or drained
-            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (deadline != kNoDeadline &&
-              std::chrono::steady_clock::now() >= deadline) {
-            counters_.queries_deadline_exceeded.fetch_add(
-                1, std::memory_order_relaxed);
-            finish_failed(StatusCode::kDeadlineExceeded);
-            return;
-          }
-          MaybeReaderDelay();
-          std::shared_ptr<const Snapshot> snap = current_.load();
-          if constexpr (PolicyRoutesAsync<Policy>::value) {
-            const uint64_t epoch = snap->epoch;
-            RouteWithCacheAsync(
-                std::move(snap), query.first, query.second,
-                [this, tag, sink, submitted, epoch](Weight d,
-                                                    StatusCode code) {
-                  Completion done;
-                  done.tag = tag;
-                  done.distance = d;
-                  done.code = code;
-                  done.epoch = epoch;
-                  const uint64_t nanos = NanosSince(submitted);
-                  done.latency_micros = static_cast<double>(nanos) / 1e3;
-                  if (code == StatusCode::kOk) {
-                    counters_.latency.Record(nanos);
-                    counters_.queries_served.fetch_add(
-                        1, std::memory_order_relaxed);
-                  } else {
-                    counters_.queries_unavailable.fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
-                  DeliverCompletion(sink, done);
-                });
-          } else {
-            Completion done;
-            done.tag = tag;
-            StatusCode code = StatusCode::kOk;
-            done.distance =
-                RouteWithCache(*snap, query.first, query.second, &code);
-            done.code = code;
-            done.epoch = snap->epoch;
-            const uint64_t nanos = NanosSince(submitted);
-            done.latency_micros = static_cast<double>(nanos) / 1e3;
-            if (code == StatusCode::kOk) {
-              counters_.latency.Record(nanos);
-              counters_.queries_served.fetch_add(
-                  1, std::memory_order_relaxed);
-            } else {
-              counters_.queries_unavailable.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            DeliverCompletion(sink, done);
-          }
-        });
-    STL_CHECK(accepted) << "SubmitTagged() on a shut-down engine";
+    SubmitOne(query, deadline,
+              [this, tag, sink](Weight d, StatusCode code,
+                                const SnapshotPtr& snap, uint64_t nanos) {
+                Deliver(sink, tag, d, code, snap->epoch, nanos);
+              });
   }
 
   /// Completion-queue mode, batched: pins one snapshot like
@@ -989,8 +865,7 @@ class ServingCore {
   /// the old weight from the master state at apply time, so callers
   /// need not know the current weight.
   void EnqueueUpdate(EdgeId edge, Weight new_weight) {
-    STL_CHECK(edge < policy_->NumEdges());
-    STL_CHECK(new_weight >= 1 && new_weight <= kMaxEdgeWeight);
+    STL_CHECK(IsValidUpdate(edge, new_weight, policy_->NumEdges()));
     updates_.Enqueue(edge, new_weight);
   }
 
@@ -998,9 +873,9 @@ class ServingCore {
   /// the writer cannot pop a partial prefix, so up to max_batch_size of
   /// them land in the same maintenance batch / epoch.
   void EnqueueUpdates(const std::vector<WeightUpdate>& updates) {
+    const uint32_t num_edges = policy_->NumEdges();
     for (const WeightUpdate& u : updates) {
-      STL_CHECK(u.edge < policy_->NumEdges());
-      STL_CHECK(u.new_weight >= 1 && u.new_weight <= kMaxEdgeWeight);
+      STL_CHECK(IsValidUpdate(u.edge, u.new_weight, num_edges));
     }
     updates_.EnqueueMany(updates);
   }
@@ -1066,54 +941,141 @@ class ServingCore {
   ThreadPool* pool() { return &pool_; }
 
  private:
+  using SnapshotPtr = std::shared_ptr<const Snapshot>;
+  using TimePoint = std::chrono::steady_clock::time_point;
+
   /// Nanoseconds elapsed since `start`.
-  static uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
+  static uint64_t NanosSince(TimePoint start) {
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
   }
 
-  /// One query on `snap`, consulting the result cache around the
-  /// policy's router. *code is pre-set kOk; only a failed routing
-  /// attempt (routed-mode replica exhaustion) writes it, and failed
-  /// answers are never cached — a retry on the same epoch may succeed.
-  Weight RouteWithCache(const Snapshot& snap, Vertex s, Vertex t,
-                        StatusCode* code) {
-    Weight d;
-    *code = StatusCode::kOk;
-    if (cache_.enabled() && cache_.Lookup(s, t, snap.epoch, &d)) return d;
-    d = policy_->Route(snap, s, t, code);
-    if (cache_.enabled() && *code == StatusCode::kOk) {
-      cache_.Insert(s, t, snap.epoch, d);
-    }
-    return d;
+  /// `nanos` in microseconds (the unit every latency field reports).
+  static double Micros(uint64_t nanos) {
+    return static_cast<double>(nanos) / 1e3;
   }
 
-  /// Async counterpart of RouteWithCache: a cache hit answers `done`
-  /// inline; a miss issues Policy::RouteAsync and the continuation
-  /// fills the cache before forwarding the verdict. `done` runs exactly
-  /// once, inline or from a policy thread.
+  /// The one per-query pipeline behind Submit and SubmitTagged:
+  /// admission, the one-shot claim, the deadline check, the reader-
+  /// delay hook, then cache + routing (RouteOne). Every outcome —
+  /// answered, unavailable, shed, expired or drained — is counted once
+  /// and handed to `finish(distance, code, snapshot, nanos)` exactly
+  /// once; `finish` is the only part that differs per entry point.
+  template <typename Finish>
+  void SubmitOne(QueryPair query, Deadline deadline, Finish finish) {
+    const TimePoint submitted = std::chrono::steady_clock::now();
+    std::shared_ptr<QueryAdmission> unit;
+    if (track_queries_) {
+      unit = std::make_shared<QueryAdmission>();
+      unit->fail = [this, finish, submitted](StatusCode code) {
+        FinishOne(finish, submitted, kInfDistance, code, current_.load());
+      };
+      if (!AdmitQuery(unit)) {
+        unit->fail(StatusCode::kOverloaded);
+        return;
+      }
+    }
+    const bool accepted = pool_.Enqueue(
+        [this, query, deadline, submitted, finish = std::move(finish),
+         unit = std::move(unit)]() mutable {
+          if (unit != nullptr) {
+            if (unit->claimed.exchange(true)) return;  // shed or drained
+            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
+          }
+          if (deadline != kNoDeadline &&
+              std::chrono::steady_clock::now() >= deadline) {
+            FinishOne(finish, submitted, kInfDistance,
+                      StatusCode::kDeadlineExceeded, current_.load());
+            return;
+          }
+          MaybeReaderDelay();
+          // The entire read path: one atomic load, then const reads on
+          // an immutable snapshot. Never blocks on maintenance work.
+          RouteOne(current_.load(), query,
+                   [this, submitted, finish = std::move(finish)](
+                       Weight d, StatusCode code, const SnapshotPtr& snap) {
+                     FinishOne(finish, submitted, d, code, snap);
+                   });
+        });
+    STL_CHECK(accepted) << "query submitted to a shut-down engine";
+  }
+
+  /// Counts one per-query outcome, then hands it to the entry point's
+  /// finisher.
+  template <typename Finish>
+  void FinishOne(Finish& finish, TimePoint submitted, Weight d,
+                 StatusCode code, const SnapshotPtr& snap) {
+    const uint64_t nanos = NanosSince(submitted);
+    CountOutcome(code, nanos);
+    finish(d, code, snap, nanos);
+  }
+
+  /// One query on `snap` through the result cache and the policy's
+  /// router; `done(distance, code, snap)` runs exactly once. One of the
+  /// two places sync and async policies differ: a sync policy answers
+  /// inline on this reader (Policy::Route); an async one issues
+  /// Policy::RouteAsync and returns, and its continuation answers from
+  /// a policy thread.
   template <typename Done>
-  void RouteWithCacheAsync(std::shared_ptr<const Snapshot> snap, Vertex s,
-                           Vertex t, Done done) {
+  void RouteOne(SnapshotPtr snap, QueryPair q, Done done) {
     Weight d;
-    if (cache_.enabled() && cache_.Lookup(s, t, snap->epoch, &d)) {
-      done(d, StatusCode::kOk);
+    if (cache_.enabled() &&
+        cache_.Lookup(q.first, q.second, snap->epoch, &d)) {
+      done(d, StatusCode::kOk, snap);
       return;
     }
-    BeginAsyncOp();
-    const uint64_t epoch = snap->epoch;
-    policy_->RouteAsync(
-        std::move(snap), s, t,
-        [this, s, t, epoch, done = std::move(done)](Weight d,
-                                                    StatusCode code) {
-          if (cache_.enabled() && code == StatusCode::kOk) {
-            cache_.Insert(s, t, epoch, d);
-          }
-          done(d, code);
-          EndAsyncOp();
-        });
+    if constexpr (PolicyRoutesAsync<Policy>::value) {
+      BeginAsyncOp();
+      SnapshotPtr pinned = snap;
+      policy_->RouteAsync(
+          std::move(pinned), q.first, q.second,
+          [this, q, snap = std::move(snap), done = std::move(done)](
+              Weight d, StatusCode code) mutable {
+            CacheAnswer(q, snap->epoch, d, code);
+            done(d, code, snap);
+            EndAsyncOp();
+          });
+    } else {
+      StatusCode code = StatusCode::kOk;
+      d = policy_->Route(*snap, q.first, q.second, &code);
+      CacheAnswer(q, snap->epoch, d, code);
+      done(d, code, snap);
+    }
+  }
+
+  /// Records an answered query in the result cache. Failed answers are
+  /// never cached — a retry on the same epoch may succeed.
+  void CacheAnswer(const QueryPair& q, uint64_t epoch, Weight d,
+                   StatusCode code) {
+    if (cache_.enabled() && code == StatusCode::kOk) {
+      cache_.Insert(q.first, q.second, epoch, d);
+    }
+  }
+
+  /// The one outcome counter for every completed query, per-query and
+  /// batched alike: kOk records `nanos` in the latency histogram and
+  /// counts served; every failure code bumps its own counter. `count`
+  /// queries share the outcome.
+  void CountOutcome(StatusCode code, uint64_t nanos, uint64_t count = 1) {
+    switch (code) {
+      case StatusCode::kOk:
+        for (uint64_t i = 0; i < count; ++i) counters_.latency.Record(nanos);
+        counters_.queries_served.fetch_add(count, std::memory_order_relaxed);
+        return;
+      case StatusCode::kOverloaded:
+        counters_.queries_shed.fetch_add(count, std::memory_order_relaxed);
+        return;
+      case StatusCode::kDeadlineExceeded:
+        counters_.queries_deadline_exceeded.fetch_add(
+            count, std::memory_order_relaxed);
+        return;
+      default:
+        counters_.queries_unavailable.fetch_add(count,
+                                                std::memory_order_relaxed);
+        return;
+    }
   }
 
   /// Registers one issued async continuation (async policies only).
@@ -1153,8 +1115,6 @@ class ServingCore {
             serving_.max_queued_batches) {
       if (serving_.admission_policy == AdmissionPolicy::kRejectNew) {
         counters_.batches_shed.fetch_add(1, std::memory_order_relaxed);
-        counters_.queries_shed.fetch_add(queries.size(),
-                                         std::memory_order_relaxed);
         return RejectedBatch(queries, tags, sink);
       }
       ShedOldestBatches();
@@ -1182,22 +1142,15 @@ class ServingCore {
         state->distances[i] = d;
         ++hits;
         if (sink != nullptr) {
-          Completion done;
-          done.tag = state->tags[i];
-          done.distance = d;
-          done.epoch = epoch;
-          done.latency_micros =
-              static_cast<double>(NanosSince(state->submitted)) / 1e3;
-          DeliverCompletion(sink, done);
+          Deliver(sink, state->tags[i], d, StatusCode::kOk, epoch,
+                  NanosSince(state->submitted));
         }
       } else {
         state->order.push_back(i);
       }
     }
     if (hits > 0) {
-      const uint64_t nanos = NanosSince(state->submitted);
-      for (size_t i = 0; i < hits; ++i) counters_.latency.Record(nanos);
-      counters_.queries_served.fetch_add(hits, std::memory_order_relaxed);
+      CountOutcome(StatusCode::kOk, NanosSince(state->submitted), hits);
     }
 
     // Group the misses so same-key queries land adjacently (and thus in
@@ -1255,8 +1208,7 @@ class ServingCore {
       state->pending_chunks = num_chunks;
       if (num_chunks == 0) {
         state->done = true;
-        state->latency_micros =
-            static_cast<double>(NanosSince(state->submitted)) / 1e3;
+        state->latency_micros = Micros(NanosSince(state->submitted));
       }
     }
     if (num_chunks == 0) {
@@ -1295,20 +1247,11 @@ class ServingCore {
         const size_t end = state->chunk_begin[c + 1];
         if (state->deadline != kNoDeadline &&
             std::chrono::steady_clock::now() >= state->deadline) {
-          counters_.queries_deadline_exceeded.fetch_add(
-              end - begin, std::memory_order_relaxed);
           FailChunk(*state, c, StatusCode::kDeadlineExceeded);
           return;
         }
         MaybeReaderDelay();
-        if constexpr (PolicyRoutesAsync<Policy>::value) {
-          // Issue the whole span and return this reader to the pool;
-          // the continuation finishes the chunk when the answers land.
-          RunBatchChunkAsync(state, begin, end);
-        } else {
-          RunBatchChunk(*state, begin, end);
-          CompleteChunk(*state);
-        }
+        RouteChunk(state, begin, end);
       });
       STL_CHECK(accepted) << "SubmitBatch() on a shut-down engine";
     }
@@ -1332,103 +1275,78 @@ class ServingCore {
     state->done = true;
     if (tags != nullptr) state->tags = *tags;
     state->sink = sink;
+    CountOutcome(StatusCode::kOverloaded, 0, queries.size());
     if (sink != nullptr) {
-      for (size_t i = 0; i < state->tags.size(); ++i) {
-        Completion done;
-        done.tag = state->tags[i];
-        done.code = StatusCode::kOverloaded;
-        done.epoch = state->snapshot->epoch;
-        DeliverCompletion(sink, done);
+      for (uint64_t tag : state->tags) {
+        Deliver(sink, tag, kInfDistance, StatusCode::kOverloaded,
+                state->snapshot->epoch, 0);
       }
     }
     return Ticket(std::move(state));
   }
 
-  /// Routes state.order[begin..end) through the policy, fills the
-  /// cache, records latency and delivers completions. Chunks touch
-  /// disjoint distance slots, so no lock is needed for the answers.
-  void RunBatchChunk(TicketState& state, size_t begin, size_t end) {
-    const size_t count = end - begin;
-    policy_->RouteSpan(*state.snapshot, state.queries.data(),
-                       state.order.data() + begin, count,
-                       state.distances.data(), state.codes.data());
-    FinishBatchChunk(state, begin, end);
+  /// Routes state.order[begin..end) through the policy, then settles
+  /// the chunk (FinishChunk). The other place sync and async policies
+  /// differ: a sync policy fills the span inline (Policy::RouteSpan);
+  /// an async one issues Policy::RouteSpanAsync and returns this reader
+  /// to the pool, and the continuation (holding the ticket alive)
+  /// settles the chunk when the answers land.
+  void RouteChunk(const std::shared_ptr<TicketState>& state, size_t begin,
+                  size_t end) {
+    TicketState& s = *state;
+    const uint32_t* idx = s.order.data() + begin;
+    if constexpr (PolicyRoutesAsync<Policy>::value) {
+      BeginAsyncOp();
+      policy_->RouteSpanAsync(s.snapshot, s.queries.data(), idx,
+                              end - begin, s.distances.data(),
+                              s.codes.data(), [this, state, begin, end] {
+                                FinishChunk(*state, begin, end);
+                                EndAsyncOp();
+                              });
+    } else {
+      policy_->RouteSpan(*s.snapshot, s.queries.data(), idx, end - begin,
+                         s.distances.data(), s.codes.data());
+      FinishChunk(s, begin, end);
+    }
   }
 
-  /// Async-policy counterpart of RunBatchChunk + CompleteChunk: issues
-  /// the span and returns; the continuation (holding the ticket alive)
-  /// runs the bookkeeping whenever the policy answers.
-  void RunBatchChunkAsync(const std::shared_ptr<TicketState>& state,
-                          size_t begin, size_t end) {
-    BeginAsyncOp();
-    const size_t count = end - begin;
-    policy_->RouteSpanAsync(
-        state->snapshot, state->queries.data(),
-        state->order.data() + begin, count, state->distances.data(),
-        state->codes.data(), [this, state, begin, end] {
-          FinishBatchChunk(*state, begin, end);
-          CompleteChunk(*state);
-          EndAsyncOp();
-        });
-  }
-
-  /// The post-routing half of a chunk: cache fills, latency/served
-  /// counters, tagged completion delivery. Slots in [begin, end) must
-  /// already hold the policy's answers.
-  void FinishBatchChunk(TicketState& state, size_t begin, size_t end) {
-    const Snapshot& snap = *state.snapshot;
-    const uint64_t epoch = snap.epoch;
+  /// Settles order[begin..end) of a ticket whose slots already hold
+  /// their answers or failure codes: cache fills, outcome counters,
+  /// tagged completion delivery, then the chunk bookkeeping
+  /// (CompleteChunk). Chunks touch disjoint slots, so no lock is needed
+  /// for the answers.
+  void FinishChunk(TicketState& state, size_t begin, size_t end) {
+    const uint64_t epoch = state.snapshot->epoch;
     const uint64_t nanos = NanosSince(state.submitted);
-    size_t served = 0;
+    uint64_t served = 0;
     for (size_t j = begin; j < end; ++j) {
       const uint32_t i = state.order[j];
-      const QueryPair& q = state.queries[i];
       const StatusCode code = state.codes[i];
       if (code == StatusCode::kOk) {
-        if (cache_.enabled()) {
-          cache_.Insert(q.first, q.second, epoch, state.distances[i]);
-        }
-        counters_.latency.Record(nanos);
+        CacheAnswer(state.queries[i], epoch, state.distances[i], code);
         ++served;
       } else {
-        counters_.queries_unavailable.fetch_add(1,
-                                                std::memory_order_relaxed);
+        CountOutcome(code, nanos);
       }
       if (state.sink != nullptr) {
-        Completion done;
-        done.tag = state.tags[i];
-        done.distance = state.distances[i];
-        done.epoch = epoch;
-        done.code = code;
-        done.latency_micros = static_cast<double>(nanos) / 1e3;
-        DeliverCompletion(state.sink, done);
+        Deliver(state.sink, state.tags[i], state.distances[i], code, epoch,
+                nanos);
       }
     }
-    counters_.queries_served.fetch_add(served, std::memory_order_relaxed);
+    CountOutcome(StatusCode::kOk, nanos, served);
+    CompleteChunk(state);
   }
 
   /// Completes chunk `c` of a ticket without routing it: every query in
-  /// the chunk gets kInfDistance and `code`, completions (if any) are
-  /// delivered with that code, and the normal chunk bookkeeping runs.
-  /// The caller must own the chunk (be its reader, or have won its
-  /// claim), so each slot is written exactly once.
+  /// the chunk gets `code` (its distance still holds kInfDistance) and
+  /// is settled like an answered one. The caller must own the chunk (be
+  /// its reader, or have won its claim), so each slot is written
+  /// exactly once.
   void FailChunk(TicketState& state, size_t c, StatusCode code) {
-    const uint64_t nanos = NanosSince(state.submitted);
-    for (size_t j = state.chunk_begin[c]; j < state.chunk_begin[c + 1];
-         ++j) {
-      const uint32_t i = state.order[j];
-      state.distances[i] = kInfDistance;
-      state.codes[i] = code;
-      if (state.sink != nullptr) {
-        Completion done;
-        done.tag = state.tags[i];
-        done.code = code;
-        done.epoch = state.snapshot->epoch;
-        done.latency_micros = static_cast<double>(nanos) / 1e3;
-        DeliverCompletion(state.sink, done);
-      }
-    }
-    CompleteChunk(state);
+    const size_t begin = state.chunk_begin[c];
+    const size_t end = state.chunk_begin[c + 1];
+    for (size_t j = begin; j < end; ++j) state.codes[state.order[j]] = code;
+    FinishChunk(state, begin, end);
   }
 
   /// The one chunk-completion path (answered or failed): decrements
@@ -1441,7 +1359,7 @@ class ServingCore {
       std::lock_guard<std::mutex> lock(state.mu);
       if (--state.pending_chunks == 0) {
         state.done = true;
-        state.latency_micros = static_cast<double>(nanos) / 1e3;
+        state.latency_micros = Micros(nanos);
         last = true;
       }
     }
@@ -1457,7 +1375,8 @@ class ServingCore {
   /// One tracked single-query submission: whoever wins the claim —
   /// the reader that dequeues it, an admission shedder, or the
   /// shutdown drain — completes the query, so it completes exactly
-  /// once. `fail` finishes it without an answer (promise or sink).
+  /// once. `fail` completes it without an answer, through the entry
+  /// point's finisher (promise or sink), and counts the outcome.
   struct QueryAdmission {
     std::atomic<bool> claimed{false};       ///< Completion ownership.
     std::function<void(StatusCode)> fail;   ///< Failure completer.
@@ -1500,7 +1419,6 @@ class ServingCore {
     // Fail the victims outside the lock: fail() runs caller code
     // (promise fulfilment / sink delivery).
     for (const std::shared_ptr<QueryAdmission>& u : shed) {
-      counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
       u->fail(StatusCode::kOverloaded);
     }
     return true;
@@ -1543,9 +1461,6 @@ class ServingCore {
     const size_t num_chunks = state.chunk_begin.size() - 1;
     for (size_t c = 0; c < num_chunks; ++c) {
       if (!state.chunk_claimed[c].exchange(true)) {
-        counters_.queries_shed.fetch_add(
-            state.chunk_begin[c + 1] - state.chunk_begin[c],
-            std::memory_order_relaxed);
         FailChunk(state, c, StatusCode::kOverloaded);
       }
     }
@@ -1589,7 +1504,6 @@ class ServingCore {
       batch_fifo_.clear();
     }
     for (const std::shared_ptr<QueryAdmission>& u : residual) {
-      counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
       u->fail(StatusCode::kOverloaded);
     }
     for (const std::shared_ptr<TicketState>& s : residual_batches) {
@@ -1606,18 +1520,20 @@ class ServingCore {
     }
   }
 
-  /// The one path every completion takes to a caller sink. When
+  /// The one completion builder, and the one path every completion
+  /// takes to a caller sink (per-query and batched alike). When
   /// FaultSite::kCompletionDropCandidate fires, the first delivery
   /// attempt is treated as dropped (and counted); the exactly-once
   /// retry then delivers it anyway — the invariant is exercised, never
   /// broken.
-  void DeliverCompletion(CompletionSink* sink, const Completion& done) {
+  void Deliver(CompletionSink* sink, uint64_t tag, Weight distance,
+               StatusCode code, uint64_t epoch, uint64_t nanos) {
     if (faults_ != nullptr &&
         faults_->Fire(FaultSite::kCompletionDropCandidate)) {
       counters_.completions_retried.fetch_add(1,
                                               std::memory_order_relaxed);
     }
-    sink->Deliver(done);
+    sink->Deliver(Completion{tag, distance, epoch, Micros(nanos), code});
   }
 
   /// The stall-watchdog body: polls the writer's applied counter at a

@@ -104,26 +104,9 @@ struct ShardedSnapshot {
   Weight Query(Vertex s, Vertex t) const;
 };
 
-/// Answer to one query submitted to the sharded engine.
-struct ShardedQueryResult {
-  /// Exact distance for the serving snapshot's weights. Meaningful only
-  /// when code == StatusCode::kOk (kInfDistance otherwise).
-  Weight distance = kInfDistance;
-  /// Global epoch of the serving snapshot.
-  uint64_t epoch = 0;
-  /// Submit-to-completion latency (queue wait included).
-  double latency_micros = 0;
-  /// The snapshot the query was served from; lets callers audit the
-  /// answer against that epoch's exact weights.
-  std::shared_ptr<const ShardedSnapshot> snapshot;
-  /// kOk for an answered query; kOverloaded when admission control (or
-  /// the shutdown drain) shed it; kDeadlineExceeded when its deadline
-  /// passed before a reader dequeued it.
-  StatusCode code = StatusCode::kOk;
-
-  /// Typed status view of `code` (ServingStatus(code)).
-  Status status() const { return ServingStatus(code); }
-};
+/// Answer to one query submitted to the sharded engine (or to the
+/// ShardRouter, which serves the same snapshot type).
+using ShardedQueryResult = ServedResult<ShardedSnapshot>;
 
 /// The shard count the engine picks when the caller passes
 /// target_shards == 0: derived from the BENCH_sharded.json measurements
@@ -355,7 +338,6 @@ class ShardedEngine {
   // the policy contract in engine/serving_core.h).
   struct Policy {
     using Snapshot = ShardedSnapshot;
-    using Result = ShardedQueryResult;
     // Batched misses are sorted by (source cell, target cell, target)
     // so the routing chunks can reuse ds/dt rows and inner vectors.
     static constexpr bool kGroupsBatches = true;

@@ -28,6 +28,14 @@ struct WeightUpdate {
 
 using UpdateBatch = std::vector<WeightUpdate>;
 
+/// True iff setting edge `edge` to `new_weight` is a valid update on a
+/// graph with `num_edges` edges: the edge exists and the weight lies in
+/// [1, kMaxEdgeWeight]. The one bound every update entry point checks.
+inline bool IsValidUpdate(EdgeId edge, Weight new_weight,
+                          uint32_t num_edges) {
+  return edge < num_edges && new_weight >= 1 && new_weight <= kMaxEdgeWeight;
+}
+
 /// Applies all updates to the graph (sets new weights).
 void ApplyBatch(Graph* g, const UpdateBatch& batch);
 

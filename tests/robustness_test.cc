@@ -34,6 +34,13 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
+// Conservation: every completed query ends in exactly one terminal
+// counter, so after a drain the sum equals the queries submitted.
+uint64_t TerminalCount(const EngineStats& s) {
+  return s.queries_served + s.queries_shed + s.queries_deadline_exceeded +
+         s.queries_unavailable;
+}
+
 // --------------------------------------------------- fault injector
 
 TEST(FaultInjectorTest, DisarmedNeverFires) {
@@ -677,6 +684,14 @@ TEST_P(ChaosBackendTest, InvariantsHoldUnderAllFaults) {
     std::this_thread::sleep_for(milliseconds(1));
   }
   EXPECT_FALSE(engine.Stats().degraded);
+
+  // Invariant 4: conservation. Every tag is delivered and every ticket
+  // done, so each submitted query sits in exactly one terminal counter.
+  uint64_t submitted = next_tag + final_batch.size();
+  for (const std::vector<QueryPair>& batch : ticket_queries) {
+    submitted += batch.size();
+  }
+  EXPECT_EQ(TerminalCount(engine.Stats()), submitted);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -736,6 +751,8 @@ TEST(ShardedRobustnessTest, OverloadMachineryWorksThroughShardedEngine) {
   EXPECT_EQ(t.distance(0), dij.Distance(0, n - 1));
   EXPECT_EQ(t.distance(1), dij.Distance(3, 11));
   EXPECT_EQ(t.distance(2), 0u);
+  // Conservation: the expired query, every tag and the batch.
+  EXPECT_EQ(TerminalCount(engine.Stats()), 1 + kTags + t.size());
 }
 
 // kOverlayRepair: the sharded writer treats incremental overlay repair
@@ -895,6 +912,7 @@ TEST(TransportChaosTest, TagsExactlyOnceUnderDropDelayDuplicate) {
   EXPECT_EQ(stats.serving.queries_served + stats.serving.queries_unavailable,
             kTags);
   EXPECT_EQ(stats.serving.queries_unavailable, unavailable);
+  EXPECT_EQ(TerminalCount(stats.serving), kTags);  // conservation
   // The chaos actually happened and the machinery absorbed it.
   EXPECT_GT(faults.fired(FaultSite::kTransportDrop), 0u);
   EXPECT_GT(faults.fired(FaultSite::kTransportDuplicate), 0u);
@@ -1128,6 +1146,75 @@ TEST(SocketChaosTest, TagsExactlyOnceUnderShortIoAndDisconnects) {
     ASSERT_EQ(r.code, StatusCode::kOk) << "post-recovery i=" << i;
     ASSERT_EQ(r.distance, audit.Distance(s, t)) << "post-recovery i=" << i;
   }
+}
+
+// ---------------------------------------------------- hostile installs
+
+// A well-formed kInstall whose update falls outside the graph's bounds
+// (unknown edge id, weight 0, weight above kMaxEdgeWeight) must nack,
+// not abort the replica: the node keeps serving, its install sequence
+// neither advances nor diverges, and the next valid install acks.
+TEST(HostileInstallTest, OutOfRangeUpdatesNackAndNodeKeepsServing) {
+  ShardedEngineOptions opt;
+  opt.target_shards = 2;
+  opt.num_query_threads = 1;
+  ReplicaNode node(testing_util::SmallRoadNetwork(5, 61), HierarchyOptions{},
+                   opt);
+  // The router's side of the state machine: same graph, same options.
+  ShardedEngine mirror(testing_util::SmallRoadNetwork(5, 61),
+                       HierarchyOptions{}, opt);
+  auto install = [&node, &mirror](uint64_t seq, UpdateBatch updates) {
+    InstallRequest req;
+    req.seq = seq;
+    req.updates = std::move(updates);
+    const std::shared_ptr<const ShardedSnapshot> snap =
+        mirror.CurrentSnapshot();
+    req.expected_engine_epoch = snap->epoch;
+    for (const auto& shard : snap->shards) {
+      req.expected_shard_epochs.push_back(shard->shard_epoch);
+    }
+    const std::vector<uint8_t> bytes = req.Encode();
+    const std::vector<uint8_t> resp = node.Handle(bytes.data(), bytes.size());
+    InstallAck ack;
+    EXPECT_TRUE(InstallAck::Decode(resp.data(), resp.size(), &ack).ok());
+    return ack;
+  };
+
+  const std::vector<WeightUpdate> hostile = {
+      {0xfffffff0u, 0, 5}, {0, 0, 0}, {0, 0, kMaxEdgeWeight + 1}};
+  for (const WeightUpdate& bad : hostile) {
+    const InstallAck ack = install(0, {bad});
+    EXPECT_FALSE(ack.ok) << "edge " << bad.edge << " w " << bad.new_weight;
+    EXPECT_EQ(ack.next_seq, 0u);
+  }
+  EXPECT_EQ(node.install_nacks(), hostile.size());
+  EXPECT_EQ(node.installs_applied(), 0u);
+
+  // Still serving: a boundary-row request at the epoch-0 shard epoch.
+  const std::shared_ptr<const ShardedSnapshot> snap0 =
+      mirror.CurrentSnapshot();
+  ShardRequest req;
+  req.kind = WireKind::kBoundaryRow;
+  req.shard = 0;
+  req.shard_epoch = snap0->shards[0]->shard_epoch;
+  while (snap0->layout->shard_of_vertex[req.u] != 0) ++req.u;
+  const std::vector<uint8_t> bytes = req.Encode();
+  const std::vector<uint8_t> resp = node.Handle(bytes.data(), bytes.size());
+  ShardResponse row;
+  ASSERT_TRUE(ShardResponse::Decode(resp.data(), resp.size(), &row).ok());
+  EXPECT_EQ(row.code, StatusCode::kOk);
+
+  // Replication resumes where it stood: seq 0 verifies epoch 0, seq 1
+  // applies a real update and matches the mirror's epochs.
+  EXPECT_TRUE(install(0, {}).ok);
+  const WeightUpdate good{0, 0, snap0->graph.EdgeWeight(0) + 1};
+  mirror.EnqueueUpdates({good});
+  mirror.Flush();
+  const InstallAck ack = install(1, {good});
+  EXPECT_TRUE(ack.ok);
+  EXPECT_EQ(ack.next_seq, 2u);
+  EXPECT_EQ(node.installs_applied(), 2u);
+  EXPECT_EQ(node.install_nacks(), hostile.size());
 }
 
 }  // namespace

@@ -322,6 +322,122 @@ TEST(RouterCompletionTest, TaggedDeliveryExactlyOnceAndExact) {
   }
 }
 
+// Per-query tagged submission through the routed tier — the path the
+// open-loop TCP benchmark drives, where each query is its own async
+// fan-out: every tag delivered exactly once, every answer exact.
+TEST(RouterCompletionTest, PerQueryTaggedDeliveryExactlyOnceAndExact) {
+  Graph g = SmallRoadNetwork(6, 409);
+  const uint32_t n = g.NumVertices();
+  RecordingSink sink;
+  std::vector<QueryPair> queries;
+  std::shared_ptr<const ShardedSnapshot> snap0;
+  {
+    LoopbackCluster cluster = MakeLoopbackCluster(2);
+    ShardRouter router(std::move(g), HierarchyOptions{},
+                       RouterOpts(BackendKind::kStl),
+                       cluster.transport.get(), cluster.replica_ptrs());
+    // No updates in this test: epoch 0 is the ground truth throughout.
+    snap0 = router.CurrentSnapshot();
+    Rng rng(409);
+    for (uint64_t i = 0; i < 128; ++i) {
+      queries.push_back({static_cast<Vertex>(rng.NextBounded(n)),
+                         static_cast<Vertex>(rng.NextBounded(n))});
+      router.SubmitTagged(queries.back(), 2000 + i, &sink);
+    }
+  }  // the router drains every submitted query and fan-out here
+
+  Dijkstra audit(snap0->graph);
+  std::map<uint64_t, Completion> by_tag;
+  for (const Completion& done : sink.Take()) {
+    ASSERT_TRUE(by_tag.emplace(done.tag, done).second)
+        << "tag " << done.tag << " delivered twice";
+  }
+  ASSERT_EQ(by_tag.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Completion& done = by_tag.at(2000 + i);
+    ASSERT_EQ(done.code, StatusCode::kOk) << "i=" << i;
+    ASSERT_EQ(done.epoch, snap0->epoch);
+    ASSERT_EQ(done.distance,
+              audit.Distance(queries[i].first, queries[i].second))
+        << "i=" << i;
+  }
+}
+
+// With every replica frozen behind the router's epoch, each per-query
+// tag that needs a replica still arrives exactly once — as the typed
+// kUnavailable, counted once in queries_unavailable.
+TEST(RouterCompletionTest, PerQueryTaggedAllReplicasFrozenYieldUnavailable) {
+  Graph g = SmallRoadNetwork(6, 419);
+  const uint32_t n = g.NumVertices();
+  RecordingSink sink;
+  std::vector<uint64_t> tags;
+  {
+    LoopbackCluster cluster = MakeLoopbackCluster(2);
+    ShardRouter router(std::move(g), HierarchyOptions{},
+                       RouterOpts(BackendKind::kStl),
+                       cluster.transport.get(), cluster.replica_ptrs());
+    const std::shared_ptr<const ShardedSnapshot> before =
+        router.CurrentSnapshot();
+    const ShardLayout& lay = *before->layout;
+    // One effective update inside every cell: every shard republishes,
+    // so the new epoch pins no shard_epoch a frozen replica holds.
+    std::vector<WeightUpdate> updates;
+    std::vector<bool> dirty(router.num_shards(), false);
+    for (EdgeId e = 0; e < before->graph.NumEdges(); ++e) {
+      const Edge& edge = before->graph.GetEdge(e);
+      const uint32_t cell = lay.shard_of_vertex[edge.u];
+      if (cell == CellPartition::kBoundaryCell ||
+          cell != lay.shard_of_vertex[edge.v] || dirty[cell]) {
+        continue;
+      }
+      dirty[cell] = true;
+      updates.push_back(WeightUpdate{e, 0, edge.w + 1});
+    }
+    ASSERT_EQ(updates.size(), router.num_shards());
+    for (auto& replica : cluster.replicas) replica->SetFrozen(true);
+    router.EnqueueUpdates(updates);
+    router.Flush();
+    const std::shared_ptr<const ShardedSnapshot> after =
+        router.CurrentSnapshot();
+    for (uint32_t c = 0; c < router.num_shards(); ++c) {
+      ASSERT_NE(after->shards[c]->shard_epoch,
+                before->shards[c]->shard_epoch);
+    }
+
+    // Only pairs whose route needs a replica: s != t and not both
+    // endpoints on the boundary (those are overlay-only).
+    Rng rng(419);
+    while (tags.size() < 64) {
+      const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
+      const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
+      if (s == t || (lay.shard_of_vertex[s] == CellPartition::kBoundaryCell &&
+                     lay.shard_of_vertex[t] == CellPartition::kBoundaryCell)) {
+        continue;
+      }
+      tags.push_back(3000 + tags.size());
+      router.SubmitTagged({s, t}, tags.back(), &sink);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (sink.Take().size() < tags.size() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const RouterStats stats = router.Stats();
+    EXPECT_EQ(stats.serving.queries_unavailable, tags.size());
+    EXPECT_EQ(stats.serving.queries_served, 0u);
+  }  // the router drains here: any late double delivery lands first
+
+  std::set<uint64_t> seen;
+  for (const Completion& done : sink.Take()) {
+    ASSERT_TRUE(seen.insert(done.tag).second)
+        << "tag " << done.tag << " delivered twice";
+    ASSERT_EQ(done.code, StatusCode::kUnavailable) << "tag " << done.tag;
+    ASSERT_EQ(done.distance, kInfDistance);
+  }
+  ASSERT_EQ(seen.size(), tags.size());
+}
+
 // ------------------------------------------------- replica epoch ring
 
 // A replica holds only its ring of recent epochs: requests pinning a
